@@ -26,12 +26,23 @@
 // fail-safe mode — it clamps the plant at a safe P-state floor and
 // refuses to step *up* on data it cannot trust — and leaves only after
 // RecoveryTicks consecutive sane readings.
+//
+// The law exists once, as a step over a small per-node state value:
+// Loop.Step vets one reading, runs the fail-safe watchdog, folds the
+// EWMA and makes the DVFS/gating decision for a plant position it is
+// handed, and Loop.Retarget is the policy-change transition. A Law holds
+// the tuning resolved against one plant shape. BMC is that step bound
+// to one Plant: Tick reads the plant's position, steps, and actuates
+// only what changed. The fleet engine (internal/fleet) calls the same
+// step for every node of a simulated fleet, keeping positions in flat
+// slices. Priority plants take the vetting, fail-safe and EWMA body from
+// the step and substitute their own tiered actuation stage
+// (tickPriority).
 package bmc
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"nodecap/internal/simtime"
 	"nodecap/internal/telemetry"
@@ -221,6 +232,23 @@ func (s Stats) OverCapFraction() float64 {
 	return float64(s.OverCapTicks) / float64(s.Ticks)
 }
 
+// Add accumulates o into s (fleet-wide totals).
+func (s *Stats) Add(o Stats) {
+	s.Ticks += o.Ticks
+	s.StepsDown += o.StepsDown
+	s.StepsUp += o.StepsUp
+	s.GateEscalate += o.GateEscalate
+	s.GateRelax += o.GateRelax
+	s.OverCapTicks += o.OverCapTicks
+	s.AtFloorTicks += o.AtFloorTicks
+	s.BatchSteals += o.BatchSteals
+	s.FloorHolds += o.FloorHolds
+	s.FloorBreaks += o.FloorBreaks
+	s.SensorFaults += o.SensorFaults
+	s.FailSafeEntries += o.FailSafeEntries
+	s.FailSafeTicks += o.FailSafeTicks
+}
+
 // Health is the defensive-controller status a BMC reports out-of-band
 // (surfaced over IPMI to DCM).
 type Health struct {
@@ -234,44 +262,32 @@ type Health struct {
 	InfeasibleCap bool
 }
 
-// BMC is the controller instance for one node.
+// BMC is the controller instance for one node: the shared Loop stepped
+// against one Plant.
 type BMC struct {
-	cfg      Config
-	plant    Plant
-	policy   Policy
-	smoothed float64
-	haveEWMA bool
-	stats    Stats
-
-	failSafe   bool
-	badTicks   int     // consecutive untrusted readings
-	saneTicks  int     // consecutive trusted readings while in fail-safe
-	lastRaw    float64 // last delivered raw reading (stuck detection)
-	haveRaw    bool
-	stuckRun   int // consecutive identical delivered readings
-	infeasible bool
+	law    Law
+	plant  Plant
+	policy Policy
+	loop   Loop
+	stats  Stats
 
 	// Telemetry sinks (SetTelemetry); nil-safe, zero-alloc when wired.
-	trace           *telemetry.Trace
-	traceNode       string
-	mSensorFaults   *telemetry.Counter
-	mFailSafeEnters *telemetry.Counter
-	mFailSafeExits  *telemetry.Counter
-	mBatchSteals    *telemetry.Counter
-	mFloorHolds     *telemetry.Counter
-	mFloorBreaks    *telemetry.Counter
+	meters       Meters
+	trace        *telemetry.Trace
+	traceNode    string
+	mBatchSteals *telemetry.Counter
+	mFloorHolds  *telemetry.Counter
+	mFloorBreaks *telemetry.Counter
 }
 
 // New builds a BMC for plant; panics on invalid static config.
 func New(cfg Config, plant Plant) *BMC {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &BMC{cfg: cfg, plant: plant}
+	_, tiered := plant.(PriorityPlant)
+	return &BMC{law: NewLaw(cfg, plant.NumPStates(), plant.MaxGatingLevel(), tiered), plant: plant}
 }
 
 // Config returns the controller tuning.
-func (b *BMC) Config() Config { return b.cfg }
+func (b *BMC) Config() Config { return b.law.cfg }
 
 // SetTelemetry wires fleet metrics and the decision trace into the
 // controller; node labels this BMC's trace events. Either sink may be
@@ -281,9 +297,7 @@ func (b *BMC) Config() Config { return b.cfg }
 func (b *BMC) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Trace, node string) {
 	b.trace = tr
 	b.traceNode = node
-	b.mSensorFaults = reg.Counter("bmc_sensor_faults_total")
-	b.mFailSafeEnters = reg.Counter("bmc_failsafe_entries_total")
-	b.mFailSafeExits = reg.Counter("bmc_failsafe_exits_total")
+	b.meters = NewMeters(reg)
 	b.mBatchSteals = reg.Counter("bmc_batch_steals_total")
 	b.mFloorHolds = reg.Counter("bmc_floor_holds_total")
 	b.mFloorBreaks = reg.Counter("bmc_floor_breaks_total")
@@ -305,39 +319,29 @@ func (b *BMC) Policy() Policy { return b.policy }
 // sensor-vetting counters — only a *changed* operator intent does.
 func (b *BMC) SetPolicy(p Policy) error {
 	if p == b.policy {
-		if b.infeasible {
+		if b.loop.Infeasible() {
 			return fmt.Errorf("bmc: %w: %.1f W (policy already in force; node pinned at the floor)",
 				ErrInfeasibleCap, p.CapWatts)
 		}
 		return nil
 	}
-	if b.failSafe {
-		// The operator's changed intent overrides the defensive clamp.
-		b.mFailSafeExits.Inc()
-		b.trace.Append(telemetry.Event{Node: b.traceNode, Kind: telemetry.EvFailSafeExit})
+	var floor float64
+	if fr, ok := b.plant.(FloorReporter); ok && p.Enabled {
+		floor = fr.CapFloorWatts()
 	}
 	b.policy = p
-	b.failSafe = false
-	b.badTicks = 0
-	b.saneTicks = 0
-	b.stuckRun = 0
-	b.haveRaw = false
-	b.infeasible = false
+	b.record(b.loop.Retarget(p, floor))
 	if !p.Enabled {
 		b.plant.SetGatingLevel(0)
 		if pp := b.priorityPlant(); pp != nil {
 			pp.SetBatchGatingLevel(0)
 		}
 		b.plant.SetPState(0)
-		b.haveEWMA = false
 		return nil
 	}
-	if fr, ok := b.plant.(FloorReporter); ok {
-		if floor := fr.CapFloorWatts(); floor > 0 && p.CapWatts < floor {
-			b.infeasible = true
-			return fmt.Errorf("bmc: %w: %.1f W < %.1f W floor (policy applied; node will pin at the floor)",
-				ErrInfeasibleCap, p.CapWatts, floor)
-		}
+	if b.loop.Infeasible() {
+		return fmt.Errorf("bmc: %w: %.1f W < %.1f W floor (policy applied; node will pin at the floor)",
+			ErrInfeasibleCap, p.CapWatts, floor)
 	}
 	return nil
 }
@@ -350,20 +354,14 @@ func (b *BMC) ResetStats() { b.stats = Stats{} }
 
 // SmoothedWatts reports the EWMA-filtered power estimate the
 // controller is acting on.
-func (b *BMC) SmoothedWatts() float64 { return b.smoothed }
+func (b *BMC) SmoothedWatts() float64 { return b.loop.Smoothed() }
 
 // FailSafe reports whether the controller is holding its fail-safe
 // floor because it distrusts the power sensor.
-func (b *BMC) FailSafe() bool { return b.failSafe }
+func (b *BMC) FailSafe() bool { return b.loop.FailSafe() }
 
 // Health returns the defensive-controller status.
-func (b *BMC) Health() Health {
-	return Health{
-		FailSafe:      b.failSafe,
-		SensorFaults:  b.stats.SensorFaults,
-		InfeasibleCap: b.infeasible,
-	}
-}
+func (b *BMC) Health() Health { return b.loop.Health(&b.stats) }
 
 // readSensor takes one reading, through PowerSample when the plant can
 // drop out.
@@ -374,166 +372,43 @@ func (b *BMC) readSensor() (float64, bool) {
 	return b.plant.PowerWatts(), true
 }
 
-// sensorTrusted judges one reading and maintains the stuck-at tracker.
-// Dropouts do not advance the tracker — a frozen sensor is one that
-// keeps *delivering* the same number.
-func (b *BMC) sensorTrusted(w float64, delivered bool) bool {
-	if !delivered {
-		return false
-	}
-	if b.cfg.StuckSensorTicks > 0 {
-		if b.haveRaw && w == b.lastRaw {
-			b.stuckRun++
-		} else {
-			b.stuckRun = 0
-		}
-	}
-	b.lastRaw = w
-	b.haveRaw = true
-	if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-		return false
-	}
-	if b.cfg.MinPlausibleWatts > 0 && w < b.cfg.MinPlausibleWatts {
-		return false
-	}
-	if b.cfg.MaxPlausibleWatts > 0 && w > b.cfg.MaxPlausibleWatts {
-		return false
-	}
-	if b.cfg.StuckSensorTicks > 0 && b.stuckRun >= b.cfg.StuckSensorTicks {
-		return false
-	}
-	return true
-}
-
-// failSafeFloor resolves the configured fail-safe P-state.
-func (b *BMC) failSafeFloor() int {
-	slowest := b.plant.NumPStates() - 1
-	if f := b.cfg.FailSafePState; f > 0 && f <= slowest {
-		return f
-	}
-	return slowest
-}
-
-// clampFailSafe enforces the fail-safe floor: the plant may be slower
-// than the floor (left where the last trusted control decision put
-// it), never faster. Priority plants clamp tier by tier.
-func (b *BMC) clampFailSafe() {
-	if pp := b.priorityPlant(); pp != nil {
-		b.clampTierFailSafe(pp)
-		return
-	}
-	if floor := b.failSafeFloor(); b.plant.PStateIndex() < floor {
-		b.plant.SetPState(floor)
-		b.stats.StepsDown++
-	}
-}
-
 // Tick runs one control decision. The machine calls it every
-// ControlPeriod of simulated time.
+// ControlPeriod of simulated time. The plant's position is read every
+// tick and actuated only when the step moves it: a plant may swallow
+// an actuation (faults.FaultyPlant) and counts real transitions.
 func (b *BMC) Tick() {
-	b.stats.Ticks++
-	if !b.policy.Enabled {
+	var w float64
+	var delivered bool
+	if b.policy.Enabled {
+		w, delivered = b.readSensor()
+	}
+	ps, gt := int32(b.plant.PStateIndex()), int32(b.plant.GatingLevel())
+	nps, ngt, out := b.loop.Step(&b.law, b.policy, w, delivered, ps, gt, &b.stats)
+	if nps != ps {
+		b.plant.SetPState(int(nps))
+	}
+	if ngt != gt {
+		b.plant.SetGatingLevel(int(ngt))
+	}
+	if out != 0 {
+		b.record(out)
+	}
+}
+
+// record feeds a Step's or Retarget's outcome to the telemetry sinks
+// and, on a priority plant, runs the tiered actuation stage it asks for.
+func (b *BMC) record(out Outcome) {
+	b.meters.Count(out)
+	if kind, ok := out.FailSafeEvent(); ok {
+		b.trace.Append(telemetry.Event{Node: b.traceNode, Kind: kind})
+	}
+	if out&(HoldFloor|Decide) == 0 {
 		return
 	}
-
-	w, delivered := b.readSensor()
-	if !b.sensorTrusted(w, delivered) {
-		// Never actuate — in particular never step up — on data the
-		// controller cannot trust.
-		b.stats.SensorFaults++
-		b.mSensorFaults.Inc()
-		b.saneTicks = 0
-		b.badTicks++
-		if k := b.cfg.FaultToleranceTicks; k > 0 && !b.failSafe && b.badTicks >= k {
-			b.failSafe = true
-			b.stats.FailSafeEntries++
-			b.mFailSafeEnters.Inc()
-			b.trace.Append(telemetry.Event{Node: b.traceNode, Kind: telemetry.EvFailSafeEnter})
-			b.haveEWMA = false
-		}
-		if b.failSafe {
-			b.stats.FailSafeTicks++
-			b.clampFailSafe()
-		}
-		return
-	}
-	b.badTicks = 0
-	if b.failSafe {
-		b.stats.FailSafeTicks++
-		b.saneTicks++
-		m := b.cfg.RecoveryTicks
-		if m < 1 {
-			m = 1
-		}
-		if b.saneTicks < m {
-			b.clampFailSafe()
-			return
-		}
-		// M consecutive sane readings: resume control with a fresh
-		// EWMA so stale pre-fault history cannot drive the first step.
-		b.failSafe = false
-		b.saneTicks = 0
-		b.haveEWMA = false
-		b.mFailSafeExits.Inc()
-		b.trace.Append(telemetry.Event{Node: b.traceNode, Kind: telemetry.EvFailSafeExit})
-	}
-
-	if !b.haveEWMA {
-		b.smoothed = w
-		b.haveEWMA = true
+	pp := b.plant.(PriorityPlant)
+	if out&HoldFloor != 0 {
+		b.clampTierFailSafe(pp)
 	} else {
-		a := b.cfg.Smoothing
-		b.smoothed = a*w + (1-a)*b.smoothed
-	}
-
-	cap := b.policy.CapWatts
-	target := cap - b.cfg.GuardBandWatts
-	if b.smoothed > cap {
-		b.stats.OverCapTicks++
-	}
-
-	if pp := b.priorityPlant(); pp != nil {
 		b.tickPriority(pp)
-		return
-	}
-
-	switch {
-	case b.smoothed > target:
-		// Too hot: slow down (proportionally to the excess), then gate.
-		if p := b.plant.PStateIndex(); p < b.plant.NumPStates()-1 {
-			steps := 1
-			if b.cfg.StepWattsPerPState > 0 {
-				steps += int((b.smoothed - target) / b.cfg.StepWattsPerPState)
-			}
-			b.plant.SetPState(p + steps)
-			b.stats.StepsDown++
-			return
-		}
-		if g := b.plant.GatingLevel(); g < b.plant.MaxGatingLevel() {
-			b.plant.SetGatingLevel(g + 1)
-			b.stats.GateEscalate++
-			return
-		}
-		// Fully escalated and still above target: the cap is below
-		// the platform's floor (the paper's 120 W rows).
-		b.stats.AtFloorTicks++
-	default:
-		// At or under target. Ungating is cheap headroom-wise and
-		// hugely valuable performance-wise, so it triggers on a small
-		// undershoot; speeding the clock back up waits for a solid
-		// margin.
-		if g := b.plant.GatingLevel(); g > 0 {
-			if b.smoothed < target-b.cfg.GateRelaxHysteresisWatts {
-				b.plant.SetGatingLevel(g - 1)
-				b.stats.GateRelax++
-			}
-			return
-		}
-		if b.smoothed < target-b.cfg.HysteresisWatts {
-			if p := b.plant.PStateIndex(); p > 0 {
-				b.plant.SetPState(p - 1)
-				b.stats.StepsUp++
-			}
-		}
 	}
 }

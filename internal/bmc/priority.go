@@ -55,7 +55,7 @@ func (b *BMC) priorityPlant() PriorityPlant {
 // put it (a package-wide SetPState could speed the batch tier *up* on
 // untrusted data, which is exactly what fail-safe must never do).
 func (b *BMC) clampTierFailSafe(pp PriorityPlant) {
-	floor := b.failSafeFloor()
+	floor := b.law.FailSafeFloor()
 	if pp.ServingPState() < floor {
 		pp.SetServingPState(floor)
 		b.stats.StepsDown++
@@ -78,7 +78,7 @@ func (b *BMC) clampTierFailSafe(pp PriorityPlant) {
 // ungating), then shared structures ungate, then the batch tier gets
 // its ways and clocks back.
 func (b *BMC) tickPriority(pp PriorityPlant) {
-	target := b.policy.CapWatts - b.cfg.GuardBandWatts
+	target := b.policy.CapWatts - b.law.cfg.GuardBandWatts
 	slowest := pp.NumPStates() - 1
 	floor := pp.ServingFloorPState()
 	if floor < 0 {
@@ -88,11 +88,11 @@ func (b *BMC) tickPriority(pp PriorityPlant) {
 		floor = slowest
 	}
 
-	if b.smoothed > target {
+	if b.loop.smoothed > target {
 		// Too hot: steal from the batch tier first.
 		steps := 1
-		if b.cfg.StepWattsPerPState > 0 {
-			steps += int((b.smoothed - target) / b.cfg.StepWattsPerPState)
+		if b.law.cfg.StepWattsPerPState > 0 {
+			steps += int((b.loop.smoothed - target) / b.law.cfg.StepWattsPerPState)
 		}
 		if p := pp.BatchPState(); p < slowest {
 			pp.SetBatchPState(p + steps)
@@ -146,20 +146,20 @@ func (b *BMC) tickPriority(pp PriorityPlant) {
 	if p := pp.ServingPState(); p > floor {
 		// Below-floor recovery is eager (small hysteresis): restoring
 		// the serving tier's floor is the whole point of the policy.
-		if b.smoothed < target-b.cfg.GateRelaxHysteresisWatts {
+		if b.loop.smoothed < target-b.law.cfg.GateRelaxHysteresisWatts {
 			pp.SetServingPState(p - 1)
 			b.stats.StepsUp++
 		}
 		return
 	}
 	if g := pp.GatingLevel(); g > 0 {
-		if b.smoothed < target-b.cfg.GateRelaxHysteresisWatts {
+		if b.loop.smoothed < target-b.law.cfg.GateRelaxHysteresisWatts {
 			pp.SetGatingLevel(g - 1)
 			b.stats.GateRelax++
 		}
 		return
 	}
-	if b.smoothed < target-b.cfg.HysteresisWatts {
+	if b.loop.smoothed < target-b.law.cfg.HysteresisWatts {
 		if p := pp.ServingPState(); p > 0 {
 			pp.SetServingPState(p - 1)
 			b.stats.StepsUp++

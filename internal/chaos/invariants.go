@@ -6,6 +6,7 @@ import (
 
 	"nodecap/internal/dcm"
 	"nodecap/internal/dcm/store"
+	"nodecap/internal/fleet"
 )
 
 // Invariant names (the keys of Verdict.Checks).
@@ -221,9 +222,8 @@ func (iv *invariants) violate(format string, args ...any) {
 //     never orphan a healthy node.
 func (iv *invariants) checkTick(tick int) {
 	e := iv.f.eng
-	p := e.Params()
 	floor := e.FloorWatts()
-	fsFloor := int32(p.FailSafePState)
+	fsFloor := int32(e.FailSafeFloor())
 	var capChecks, fsChecks, writerChecks, pushChecks int
 
 	grayOn := iv.gray
@@ -251,7 +251,7 @@ func (iv *invariants) checkTick(tick int) {
 			a.OverTicks[i] = 0
 		} else {
 			capChecks++
-			truth := p.P0Watts - p.WattsPerPState*float64(a.PState[i]) - p.WattsPerGate*float64(a.Gating[i])
+			truth := fleet.Watts(a.PState[i], a.Gating[i])
 			if truth > capW+TolWatts {
 				a.OverTicks[i]++
 			} else {

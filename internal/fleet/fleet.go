@@ -1,27 +1,33 @@
 // Package fleet is the batch simulation engine behind fleet-scale
 // chaos: the state of every simulated node — analytic plant, defensive
 // BMC controller, sensor-fault injection, and the per-tick observations
-// the invariant checker audits — held as structure-of-arrays slices and
+// the invariant checker audits — held in flat per-node slices and
 // advanced by one cache-friendly pass per tick instead of one
 // heap-allocated object, mutex and *rand.Rand pointer chase per node.
 //
-// The per-node control semantics are an exact port of the scalar stack
-// the chaos harness used to build per node (bmc.BMC over a
-// faults.FaultyPlant over an analytic plant), with two deliberate
-// substitutions:
+// The control law is not re-implemented here. Every node keeps a
+// bmc.Loop and a bmc.Stats and is stepped by bmc.Loop.Step — the same
+// defensive loop bmc.BMC runs for one node — and policy pushes go
+// through bmc.Loop.Retarget, the transition bmc.BMC.SetPolicy uses.
+// What this package adds is harness bookkeeping: the analytic plant
+// (Watts), the seeded noise streams, fencing-epoch accounting, the
+// settle window, the pre/post snapshots, and the BreakFailSafeFloor
+// creep. The scalar stack the chaos harness used to build per node
+// (bmc.BMC over a faults.FaultyPlant over an analytic plant) differs in
+// two deliberate ways:
 //
 //   - Randomness is counter-based (SplitMix64 streams keyed per node)
 //     instead of math/rand: one uint64 of state per node, advanced in
 //     registers, no pointer-chased generator objects. Noise is drawn
-//     only when the legacy layering would have drawn it (never during
+//     only when the scalar layering would have drawn it (never during
 //     a dropout, never for a management read).
 //   - Sensor storms are modelled as a per-node dropout switch (the only
 //     fault profile the chaos scenarios inject) rather than a
 //     probability draw per read.
 //
-// The byte-identical equivalence of Tick against the legacy per-node
-// object stepping is pinned by TestEngineMatchesLegacyStepping, which
-// drives both through 1k random seeded scenarios.
+// TestEngineMatchesLegacyStepping drives the engine and per-node
+// bmc.BMC objects through 1k random seeded scenarios and requires
+// bit-identical observable state, so it guards this bookkeeping.
 //
 // Concurrency: Tick shards nodes across a persistent pool.Gang in
 // contiguous index ranges. Nodes are mutually independent within a
@@ -61,70 +67,10 @@ const (
 	FailSafePState = 12
 )
 
-// Params is the per-node plant envelope plus the BMC control tuning,
-// shared by every node in an Engine.
-type Params struct {
-	NumPStates     int
-	MaxGatingLevel int
-	P0Watts        float64
-	WattsPerPState float64
-	WattsPerGate   float64
-	NoiseWatts     float64
-
-	// Controller tuning (the bmc.Config subset the analytic fleet
-	// exercises; stuck-at detection is not modelled — the chaos
-	// scenarios never inject it and the simulated sensor is noisy).
-	GuardBandWatts           float64
-	HysteresisWatts          float64
-	GateRelaxHysteresisWatts float64
-	Smoothing                float64
-	StepWattsPerPState       float64
-	MinPlausibleWatts        float64
-	MaxPlausibleWatts        float64
-	FaultToleranceTicks      int
-	RecoveryTicks            int
-	FailSafePState           int
-}
-
-// DefaultParams returns the chaos fleet's envelope with the hardened
-// (fail-safe) BMC tuning.
-func DefaultParams() Params {
-	c := bmc.FailSafeConfig()
-	return Params{
-		NumPStates:     NumPStates,
-		MaxGatingLevel: MaxGatingLevel,
-		P0Watts:        P0Watts,
-		WattsPerPState: WattsPerPState,
-		WattsPerGate:   WattsPerGate,
-		NoiseWatts:     NoiseWatts,
-
-		GuardBandWatts:           c.GuardBandWatts,
-		HysteresisWatts:          c.HysteresisWatts,
-		GateRelaxHysteresisWatts: c.GateRelaxHysteresisWatts,
-		Smoothing:                c.Smoothing,
-		StepWattsPerPState:       c.StepWattsPerPState,
-		MinPlausibleWatts:        c.MinPlausibleWatts,
-		MaxPlausibleWatts:        c.MaxPlausibleWatts,
-		FaultToleranceTicks:      c.FaultToleranceTicks,
-		RecoveryTicks:            c.RecoveryTicks,
-		FailSafePState:           FailSafePState,
-	}
-}
-
-// FloorWatts is the platform's minimum achievable power: full DVFS
-// descent plus the whole gating ladder.
-func (p Params) FloorWatts() float64 {
-	return p.P0Watts - p.WattsPerPState*float64(p.NumPStates-1) - p.WattsPerGate*float64(p.MaxGatingLevel)
-}
-
-// failSafeFloor resolves the configured fail-safe P-state exactly as
-// bmc.failSafeFloor does: out-of-range configs mean the slowest state.
-func (p Params) failSafeFloor() int {
-	slowest := p.NumPStates - 1
-	if f := p.FailSafePState; f > 0 && f <= slowest {
-		return f
-	}
-	return slowest
+// Watts is the analytic plant: a node's true draw at P-state ps and
+// gating level gt.
+func Watts(ps, gt int32) float64 {
+	return P0Watts - WattsPerPState*float64(ps) - WattsPerGate*float64(gt)
 }
 
 // Config assembles an Engine.
@@ -133,8 +79,6 @@ type Config struct {
 	// Seed keys every node's noise stream; same (Seed, node index) —
 	// same noise, forever, independent of fleet size or parallelism.
 	Seed int64
-	// Params defaults to DefaultParams when zero.
-	Params Params
 	// NamePrefix labels nodes ("node-" → "node-0" …) in trace events.
 	NamePrefix string
 	// BreakFailSafeFloor makes the plant ignore the fail-safe clamp
@@ -147,42 +91,23 @@ type Config struct {
 	Parallelism int
 }
 
-// Health is one node's defensive-controller status.
-type Health struct {
-	FailSafe      bool
-	SensorFaults  uint64
-	InfeasibleCap bool
-}
-
 // Stats aggregates controller activity across the fleet.
-type Stats struct {
-	Ticks           uint64
-	StepsDown       uint64
-	StepsUp         uint64
-	GateEscalate    uint64
-	GateRelax       uint64
-	OverCapTicks    uint64
-	AtFloorTicks    uint64
-	SensorFaults    uint64
-	FailSafeEntries uint64
-	FailSafeTicks   uint64
-}
+type Stats = bmc.Stats
 
-// shardEvt is one buffered mid-tick trace event (fail-safe enter or
-// exit), merged into the trace in node order after the tick barrier.
+// shardEvt is one buffered mid-tick fail-safe transition, merged into
+// the trace in node order after the tick barrier.
 type shardEvt struct {
-	node  int32
-	enter bool
+	node int32
+	out  bmc.Outcome
 }
 
-// Engine holds the whole fleet's state as structure-of-arrays slices.
+// Engine holds the whole fleet's state in flat per-node slices.
 type Engine struct {
 	mu sync.Mutex
 
-	p          Params
+	law        bmc.Law
 	n          int
 	floor      float64
-	fsFloor    int32
 	breakFloor bool
 	names      []string
 
@@ -192,30 +117,15 @@ type Engine struct {
 	// Policy (what the last admitted push installed).
 	capEnabled []bool
 	capWatts   []float64
-	infeasible []bool
-	// Controller.
-	smoothed  []float64
-	haveEWMA  []bool
-	failSafe  []bool
-	badTicks  []int32
-	saneTicks []int32
+	// Controller: the shared defensive loop's per-node memory and
+	// activity counters (shard-local writes, summed on read).
+	loops []bmc.Loop
+	stats []bmc.Stats
 	// Sensor-fault injection: a storming node's sensor delivers
 	// nothing (the only profile the chaos scenarios use).
 	dropout []bool
 	// Counter-based noise streams, one uint64 of state per node.
 	noise []uint64
-
-	// Per-node activity counters (shard-local writes, summed on read).
-	stTicks        []uint64
-	stStepsDown    []uint64
-	stStepsUp      []uint64
-	stGateEscalate []uint64
-	stGateRelax    []uint64
-	stOverCap      []uint64
-	stAtFloor      []uint64
-	stSensorFault  []uint64
-	stFSEntries    []uint64
-	stFSTicks      []uint64
 
 	// Per-tick observations for the invariant checker: pre/post
 	// snapshots bracket the LAST tick of a batch (the chaos run loop
@@ -234,10 +144,8 @@ type Engine struct {
 	regSeen          []int32
 
 	// Telemetry (nil-safe).
-	trace         *telemetry.Trace
-	mSensorFaults *telemetry.Counter
-	mFSEnters     *telemetry.Counter
-	mFSExits      *telemetry.Counter
+	trace  *telemetry.Trace
+	meters bmc.Meters
 
 	// Tick sharding.
 	workers     int
@@ -248,25 +156,23 @@ type Engine struct {
 }
 
 // New builds an engine; panics on a non-positive node count (a
-// misassembled harness, not a runtime condition).
+// misassembled harness, not a runtime condition). Every node runs the
+// hardened bmc.FailSafeConfig tuning with the FailSafePState floor.
 func New(cfg Config) *Engine {
 	if cfg.Nodes <= 0 {
 		panic(fmt.Sprintf("fleet: non-positive node count %d", cfg.Nodes))
-	}
-	p := cfg.Params
-	if p == (Params{}) {
-		p = DefaultParams()
 	}
 	prefix := cfg.NamePrefix
 	if prefix == "" {
 		prefix = "node-"
 	}
+	tuning := bmc.FailSafeConfig()
+	tuning.FailSafePState = FailSafePState
 	n := cfg.Nodes
 	e := &Engine{
-		p:          p,
+		law:        bmc.NewLaw(tuning, NumPStates, MaxGatingLevel, false),
 		n:          n,
-		floor:      p.FloorWatts(),
-		fsFloor:    int32(p.failSafeFloor()),
+		floor:      Watts(NumPStates-1, MaxGatingLevel),
 		breakFloor: cfg.BreakFailSafeFloor,
 		names:      make([]string, n),
 
@@ -274,25 +180,10 @@ func New(cfg Config) *Engine {
 		gating:     make([]int32, n),
 		capEnabled: make([]bool, n),
 		capWatts:   make([]float64, n),
-		infeasible: make([]bool, n),
-		smoothed:   make([]float64, n),
-		haveEWMA:   make([]bool, n),
-		failSafe:   make([]bool, n),
-		badTicks:   make([]int32, n),
-		saneTicks:  make([]int32, n),
+		loops:      make([]bmc.Loop, n),
+		stats:      make([]bmc.Stats, n),
 		dropout:    make([]bool, n),
 		noise:      make([]uint64, n),
-
-		stTicks:        make([]uint64, n),
-		stStepsDown:    make([]uint64, n),
-		stStepsUp:      make([]uint64, n),
-		stGateEscalate: make([]uint64, n),
-		stGateRelax:    make([]uint64, n),
-		stOverCap:      make([]uint64, n),
-		stAtFloor:      make([]uint64, n),
-		stSensorFault:  make([]uint64, n),
-		stFSEntries:    make([]uint64, n),
-		stFSTicks:      make([]uint64, n),
 
 		prePState:        make([]int32, n),
 		postPState:       make([]int32, n),
@@ -330,14 +221,14 @@ func (e *Engine) Close() {
 // Nodes reports the fleet size.
 func (e *Engine) Nodes() int { return e.n }
 
-// Params returns the shared plant/controller tuning.
-func (e *Engine) Params() Params { return e.p }
-
 // Name returns node i's trace label.
 func (e *Engine) Name(i int) string { return e.names[i] }
 
 // FloorWatts is the platform floor shared by every node.
 func (e *Engine) FloorWatts() float64 { return e.floor }
+
+// FailSafeFloor is the P-state every node holds in fail-safe mode.
+func (e *Engine) FailSafeFloor() int { return e.law.FailSafeFloor() }
 
 // SetTelemetry wires the fleet counters and the decision trace; either
 // may be nil. Tick remains allocation-free when wired.
@@ -345,9 +236,7 @@ func (e *Engine) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Trace) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.trace = tr
-	e.mSensorFaults = reg.Counter("bmc_sensor_faults_total")
-	e.mFSEnters = reg.Counter("bmc_failsafe_entries_total")
-	e.mFSExits = reg.Counter("bmc_failsafe_exits_total")
+	e.meters = bmc.NewMeters(reg)
 }
 
 // Tick advances every node n control periods in one batched pass.
@@ -372,10 +261,7 @@ func (e *Engine) Tick(n int) {
 	if e.trace != nil {
 		for _, evs := range e.shardEvents {
 			for _, ev := range evs {
-				kind := telemetry.EvFailSafeEnter
-				if !ev.enter {
-					kind = telemetry.EvFailSafeExit
-				}
+				kind, _ := ev.out.FailSafeEvent()
 				e.trace.Append(telemetry.Event{Node: e.names[ev.node], Kind: kind})
 			}
 		}
@@ -387,172 +273,70 @@ func (e *Engine) runShard(worker, lo, hi int) {
 }
 
 // stepRange advances nodes [lo, hi) by the current batch. The tick
-// loop is innermost per node, so one node's whole working set stays in
-// registers for the batch; nodes never interact within a tick, so the
-// node-major order is unobservable.
+// loop is innermost per node, so one node's working set stays hot for
+// the batch; nodes never interact within a tick, so the node-major
+// order is unobservable. Per node-tick it draws the sensor noise, makes
+// one call into the shared control law, buffers fail-safe transitions,
+// applies the broken-floor creep and records the checker's snapshots.
 func (e *Engine) stepRange(worker, lo, hi int) {
 	evs := e.shardEvents[worker][:0]
-	p := &e.p
-	kTol := int32(p.FaultToleranceTicks)
-	mRec := int32(p.RecoveryTicks)
-	if mRec < 1 {
-		mRec = 1
-	}
-	numP := int32(p.NumPStates)
-	maxG := int32(p.MaxGatingLevel)
-	fsFloor := e.fsFloor
+	law := &e.law
 	batch := e.batch
+	breakFloor := e.breakFloor
 
 	for i := lo; i < hi; i++ {
+		l, st := &e.loops[i], &e.stats[i]
 		ps, gt := e.pstate[i], e.gating[i]
-		fs := e.failSafe[i]
-		enabled := e.capEnabled[i]
-		capW := e.capWatts[i]
-		sm, haveEWMA := e.smoothed[i], e.haveEWMA[i]
-		bad, sane := e.badTicks[i], e.saneTicks[i]
-		drop := e.dropout[i]
+		pol := bmc.Policy{Enabled: e.capEnabled[i], CapWatts: e.capWatts[i]}
+		delivered := !e.dropout[i]
 		rng := e.noise[i]
+		// fs mirrors l.FailSafe(): only a Step reporting a fail-safe
+		// transition changes it.
+		fs := l.FailSafe()
 
-		var pre, post int32
-		var preFS, postFS bool
+		var pre int32
+		var preFS bool
 
 		for t := 0; t < batch; t++ {
 			pre, preFS = ps, fs
-			e.stTicks[i]++
-			if !enabled {
-				goto plantQuirks
+			var w float64
+			if pol.Enabled && delivered {
+				rng += splitmixGamma
+				f := float64(splitmix(rng)>>11) / (1 << 53)
+				w = Watts(ps, gt) + (f*2-1)*NoiseWatts
 			}
-			{
-				var w float64
-				delivered := !drop
-				if delivered {
-					rng += splitmixGamma
-					f := float64(splitmix(rng)>>11) / (1 << 53)
-					w = p.P0Watts - p.WattsPerPState*float64(ps) - p.WattsPerGate*float64(gt) +
-						(f*2-1)*p.NoiseWatts
-				}
-				trusted := delivered &&
-					!(math.IsNaN(w) || math.IsInf(w, 0) || w < 0) &&
-					!(p.MinPlausibleWatts > 0 && w < p.MinPlausibleWatts) &&
-					!(p.MaxPlausibleWatts > 0 && w > p.MaxPlausibleWatts)
-				if !trusted {
-					// Never actuate — in particular never step up — on
-					// data the controller cannot trust.
-					e.stSensorFault[i]++
-					e.mSensorFaults.Inc()
-					sane = 0
-					bad++
-					if kTol > 0 && !fs && bad >= kTol {
-						fs = true
-						e.stFSEntries[i]++
-						e.mFSEnters.Inc()
-						evs = append(evs, shardEvt{node: int32(i), enter: true})
-						haveEWMA = false
-					}
-					if fs {
-						e.stFSTicks[i]++
-						if ps < fsFloor {
-							ps = fsFloor
-							e.stStepsDown[i]++
-						}
-					}
-					goto plantQuirks
-				}
-				bad = 0
-				if fs {
-					e.stFSTicks[i]++
-					sane++
-					if sane < mRec {
-						if ps < fsFloor {
-							ps = fsFloor
-							e.stStepsDown[i]++
-						}
-						goto plantQuirks
-					}
-					// M consecutive sane readings: resume control with a
-					// fresh EWMA so stale pre-fault history cannot drive
-					// the first step.
-					fs = false
-					sane = 0
-					haveEWMA = false
-					e.mFSExits.Inc()
-					evs = append(evs, shardEvt{node: int32(i), enter: false})
-				}
-
-				if !haveEWMA {
-					sm = w
-					haveEWMA = true
-				} else {
-					a := p.Smoothing
-					sm = a*w + (1-a)*sm
-				}
-
-				target := capW - p.GuardBandWatts
-				if sm > capW {
-					e.stOverCap[i]++
-				}
-				switch {
-				case sm > target:
-					// Too hot: slow down (proportionally to the excess),
-					// then gate.
-					if ps < numP-1 {
-						steps := int32(1)
-						if p.StepWattsPerPState > 0 {
-							steps += int32((sm - target) / p.StepWattsPerPState)
-						}
-						ps += steps
-						if ps > numP-1 {
-							ps = numP - 1
-						}
-						e.stStepsDown[i]++
-					} else if gt < maxG {
-						gt++
-						e.stGateEscalate[i]++
-					} else {
-						e.stAtFloor[i]++
-					}
-				default:
-					if gt > 0 {
-						if sm < target-p.GateRelaxHysteresisWatts {
-							gt--
-							e.stGateRelax[i]++
-						}
-					} else if sm < target-p.HysteresisWatts && ps > 0 {
-						ps--
-						e.stStepsUp[i]++
-					}
+			var out bmc.Outcome
+			ps, gt, out = l.Step(law, pol, w, delivered, ps, gt, st)
+			if out != 0 {
+				fs = l.FailSafe()
+				e.meters.Count(out)
+				if _, ok := out.FailSafeEvent(); ok {
+					evs = append(evs, shardEvt{node: int32(i), out: out})
 				}
 			}
-
-		plantQuirks:
-			if e.breakFloor && fs && ps > 0 {
+			if breakFloor && fs && ps > 0 {
 				// The "broken guard": the plant ignores the fail-safe
 				// clamp and creeps back toward full speed.
 				ps--
 			}
-			post, postFS = ps, fs
-			e.sinceCapChange[i]++
 		}
 
 		e.pstate[i], e.gating[i] = ps, gt
-		e.failSafe[i] = fs
-		e.smoothed[i], e.haveEWMA[i] = sm, haveEWMA
-		e.badTicks[i], e.saneTicks[i] = bad, sane
 		e.noise[i] = rng
-		e.prePState[i], e.postPState[i] = pre, post
-		e.preFailSafe[i], e.postFailSafe[i] = preFS, postFS
+		e.prePState[i], e.postPState[i] = pre, ps
+		e.preFailSafe[i], e.postFailSafe[i] = preFS, fs
+		e.sinceCapChange[i] += int32(batch)
 	}
 	e.shardEvents[worker] = evs
 }
 
-// PushPolicy installs a capping policy on node i, mirroring the legacy
+// PushPolicy installs a capping policy on node i, mirroring the scalar
 // management path end to end: fencing-epoch bookkeeping (a push
 // carrying an epoch below the node's high-water mark is counted as a
-// split-brain actuation), bmc.SetPolicy's state machine (same-policy
-// re-pushes preserve defensive state; a changed policy clears
-// fail-safe; disabling restores full speed; an infeasible cap is
-// applied but flagged), and the checker's settle-window reset on a
-// material change (> 1 W or an enabled flip).
+// split-brain actuation), bmc.SetPolicy's transition (same-policy
+// re-pushes preserve defensive state; a changed policy runs
+// bmc.Loop.Retarget; disabling restores full speed), and the checker's
+// settle-window reset on a material change (> 1 W or an enabled flip).
 func (e *Engine) PushPolicy(i int, enabled bool, capWatts float64, epoch uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -563,25 +347,14 @@ func (e *Engine) PushPolicy(i int, enabled bool, capWatts float64, epoch uint64)
 	}
 	oldEn, oldCap := e.capEnabled[i], e.capWatts[i]
 	if oldEn != enabled || oldCap != capWatts {
-		if e.failSafe[i] {
-			// The operator's changed intent overrides the defensive
-			// clamp.
-			e.mFSExits.Inc()
-			if e.trace != nil {
-				e.trace.Append(telemetry.Event{Node: e.names[i], Kind: telemetry.EvFailSafeExit})
-			}
-		}
 		e.capEnabled[i], e.capWatts[i] = enabled, capWatts
-		e.failSafe[i] = false
-		e.badTicks[i] = 0
-		e.saneTicks[i] = 0
-		e.infeasible[i] = false
+		out := e.loops[i].Retarget(bmc.Policy{Enabled: enabled, CapWatts: capWatts}, e.floor)
+		e.meters.Count(out)
+		if kind, ok := out.FailSafeEvent(); ok {
+			e.trace.Append(telemetry.Event{Node: e.names[i], Kind: kind})
+		}
 		if !enabled {
-			e.gating[i] = 0
-			e.pstate[i] = 0
-			e.haveEWMA[i] = false
-		} else if capWatts < e.floor {
-			e.infeasible[i] = true
+			e.gating[i], e.pstate[i] = 0, 0
 		}
 	}
 	if oldEn != enabled || math.Abs(oldCap-capWatts) > 1 {
@@ -610,11 +383,7 @@ func (e *Engine) SetDropout(i int, on bool) {
 func (e *Engine) TrueWatts(i int) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.trueWattsLocked(i)
-}
-
-func (e *Engine) trueWattsLocked(i int) float64 {
-	return e.p.P0Watts - e.p.WattsPerPState*float64(e.pstate[i]) - e.p.WattsPerGate*float64(e.gating[i])
+	return Watts(e.pstate[i], e.gating[i])
 }
 
 // ManagementWatts is the reading served to management polls: the
@@ -624,10 +393,10 @@ func (e *Engine) trueWattsLocked(i int) float64 {
 func (e *Engine) ManagementWatts(i int) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if w := e.smoothed[i]; w != 0 {
+	if w := e.loops[i].Smoothed(); w != 0 {
 		return w
 	}
-	return e.trueWattsLocked(i)
+	return Watts(e.pstate[i], e.gating[i])
 }
 
 // PState reports node i's DVFS position.
@@ -645,14 +414,10 @@ func (e *Engine) GatingLevel(i int) int {
 }
 
 // NodeHealth reports node i's defensive-controller status.
-func (e *Engine) NodeHealth(i int) Health {
+func (e *Engine) NodeHealth(i int) bmc.Health {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return Health{
-		FailSafe:      e.failSafe[i],
-		SensorFaults:  e.stSensorFault[i],
-		InfeasibleCap: e.infeasible[i],
-	}
+	return e.loops[i].Health(&e.stats[i])
 }
 
 // Stats sums the per-node activity counters into fleet totals.
@@ -660,17 +425,8 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var s Stats
-	for i := 0; i < e.n; i++ {
-		s.Ticks += e.stTicks[i]
-		s.StepsDown += e.stStepsDown[i]
-		s.StepsUp += e.stStepsUp[i]
-		s.GateEscalate += e.stGateEscalate[i]
-		s.GateRelax += e.stGateRelax[i]
-		s.OverCapTicks += e.stOverCap[i]
-		s.AtFloorTicks += e.stAtFloor[i]
-		s.SensorFaults += e.stSensorFault[i]
-		s.FailSafeEntries += e.stFSEntries[i]
-		s.FailSafeTicks += e.stFSTicks[i]
+	for i := range e.stats {
+		s.Add(e.stats[i])
 	}
 	return s
 }
@@ -685,7 +441,6 @@ type Audit struct {
 	Gating           []int32
 	CapEnabled       []bool
 	CapWatts         []float64
-	Infeasible       []bool
 	Dropout          []bool
 	PrePState        []int32
 	PostPState       []int32
@@ -704,7 +459,6 @@ func (e *Engine) Audit() Audit {
 		Gating:           e.gating,
 		CapEnabled:       e.capEnabled,
 		CapWatts:         e.capWatts,
-		Infeasible:       e.infeasible,
 		Dropout:          e.dropout,
 		PrePState:        e.prePState,
 		PostPState:       e.postPState,

@@ -21,21 +21,22 @@ import (
 // ---------------------------------------------------------------------------
 
 type refPlant struct {
-	p       Params
 	pstate  int
 	gating  int
 	rng     uint64
 	dropout bool
 }
 
-func (r *refPlant) trueWatts() float64 {
-	return r.p.P0Watts - r.p.WattsPerPState*float64(r.pstate) - r.p.WattsPerGate*float64(r.gating)
+func watts(pstate, gating int) float64 {
+	return P0Watts - WattsPerPState*float64(pstate) - WattsPerGate*float64(gating)
 }
+
+func (r *refPlant) trueWatts() float64 { return watts(r.pstate, r.gating) }
 
 func (r *refPlant) PowerWatts() float64 {
 	r.rng += splitmixGamma
 	f := float64(splitmix(r.rng)>>11) / (1 << 53)
-	return r.trueWatts() + (f*2-1)*r.p.NoiseWatts
+	return r.trueWatts() + (f*2-1)*NoiseWatts
 }
 
 func (r *refPlant) PowerSample() (float64, bool) {
@@ -46,28 +47,28 @@ func (r *refPlant) PowerSample() (float64, bool) {
 }
 
 func (r *refPlant) PStateIndex() int { return r.pstate }
-func (r *refPlant) NumPStates() int  { return r.p.NumPStates }
+func (r *refPlant) NumPStates() int  { return NumPStates }
 func (r *refPlant) SetPState(i int) {
 	if i < 0 {
 		i = 0
 	}
-	if max := r.p.NumPStates - 1; i > max {
+	if max := NumPStates - 1; i > max {
 		i = max
 	}
 	r.pstate = i
 }
 func (r *refPlant) GatingLevel() int    { return r.gating }
-func (r *refPlant) MaxGatingLevel() int { return r.p.MaxGatingLevel }
+func (r *refPlant) MaxGatingLevel() int { return MaxGatingLevel }
 func (r *refPlant) SetGatingLevel(l int) {
 	if l < 0 {
 		l = 0
 	}
-	if l > r.p.MaxGatingLevel {
-		l = r.p.MaxGatingLevel
+	if l > MaxGatingLevel {
+		l = MaxGatingLevel
 	}
 	r.gating = l
 }
-func (r *refPlant) CapFloorWatts() float64 { return r.p.FloorWatts() }
+func (r *refPlant) CapFloorWatts() float64 { return watts(NumPStates-1, MaxGatingLevel) }
 
 type refNode struct {
 	plant      *refPlant
@@ -83,19 +84,10 @@ type refNode struct {
 	epochRegressions      int
 }
 
-func newRefNode(i int, seed int64, p Params, breakFloor bool) *refNode {
+func newRefNode(i int, seed int64, breakFloor bool) *refNode {
 	cfg := bmc.FailSafeConfig()
-	cfg.GuardBandWatts = p.GuardBandWatts
-	cfg.HysteresisWatts = p.HysteresisWatts
-	cfg.GateRelaxHysteresisWatts = p.GateRelaxHysteresisWatts
-	cfg.Smoothing = p.Smoothing
-	cfg.StepWattsPerPState = p.StepWattsPerPState
-	cfg.MinPlausibleWatts = p.MinPlausibleWatts
-	cfg.MaxPlausibleWatts = p.MaxPlausibleWatts
-	cfg.FaultToleranceTicks = p.FaultToleranceTicks
-	cfg.RecoveryTicks = p.RecoveryTicks
-	cfg.FailSafePState = p.FailSafePState
-	plant := &refPlant{p: p, rng: noiseStreamKey(seed, i)}
+	cfg.FailSafePState = FailSafePState
+	plant := &refPlant{rng: noiseStreamKey(seed, i)}
 	return &refNode{plant: plant, ctl: bmc.New(cfg, plant), breakFloor: breakFloor}
 }
 
@@ -162,19 +154,20 @@ func snapshotEngine(e *Engine) string {
 	a := e.Audit()
 	s := ""
 	for i := 0; i < e.n; i++ {
-		mgmt := e.smoothed[i]
+		l, st := &e.loops[i], e.stats[i]
+		mgmt := l.Smoothed()
 		if mgmt == 0 {
-			mgmt = e.trueWattsLocked(i)
+			mgmt = Watts(e.pstate[i], e.gating[i])
 		}
 		s += fmt.Sprintf("n%d ps=%d gt=%d true=%b mgmt=%b pol=%v/%b inf=%v fs=%v "+
 			"pre=%d/%v post=%d/%v settle=%d epoch=%d reg=%d "+
 			"stats=%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			i, a.PState[i], a.Gating[i], e.trueWattsLocked(i), mgmt,
-			a.CapEnabled[i], a.CapWatts[i], a.Infeasible[i], e.failSafe[i],
+			i, a.PState[i], a.Gating[i], Watts(e.pstate[i], e.gating[i]), mgmt,
+			a.CapEnabled[i], a.CapWatts[i], l.Infeasible(), l.FailSafe(),
 			a.PrePState[i], a.PreFailSafe[i], a.PostPState[i], a.PostFailSafe[i],
 			a.SinceCapChange[i], e.actEpoch[i], a.EpochRegressions[i],
-			e.stTicks[i], e.stStepsDown[i], e.stStepsUp[i], e.stGateEscalate[i], e.stGateRelax[i],
-			e.stOverCap[i], e.stAtFloor[i], e.stSensorFault[i], e.stFSEntries[i], e.stFSTicks[i])
+			st.Ticks, st.StepsDown, st.StepsUp, st.GateEscalate, st.GateRelax,
+			st.OverCapTicks, st.AtFloorTicks, st.SensorFaults, st.FailSafeEntries, st.FailSafeTicks)
 	}
 	return s
 }
@@ -203,7 +196,7 @@ func TestEngineMatchesLegacyStepping(t *testing.T) {
 		defer e.Close()
 		ref := make([]*refNode, nodes)
 		for i := range ref {
-			ref[i] = newRefNode(i, seed, e.Params(), breakFloor)
+			ref[i] = newRefNode(i, seed, breakFloor)
 		}
 
 		ops := 30 + rng.Intn(70)
@@ -337,14 +330,14 @@ func TestPolicyLifecycle(t *testing.T) {
 }
 
 func TestFailSafeRoundTrip(t *testing.T) {
-	p := DefaultParams()
+	c := bmc.FailSafeConfig()
 	e := New(Config{Nodes: 1, Seed: 11, Parallelism: 1})
 	defer e.Close()
 	e.PushPolicy(0, true, 140, 1)
 	e.Tick(20)
 
 	e.SetDropout(0, true)
-	e.Tick(p.FaultToleranceTicks - 1)
+	e.Tick(c.FaultToleranceTicks - 1)
 	if e.NodeHealth(0).FailSafe {
 		t.Fatal("entered fail-safe before FaultToleranceTicks")
 	}
@@ -352,12 +345,12 @@ func TestFailSafeRoundTrip(t *testing.T) {
 	if !e.NodeHealth(0).FailSafe {
 		t.Fatal("did not enter fail-safe after FaultToleranceTicks dropouts")
 	}
-	if ps := e.PState(0); ps < p.FailSafePState {
-		t.Fatalf("fail-safe holding ps=%d, want >= floor %d", ps, p.FailSafePState)
+	if ps := e.PState(0); ps < FailSafePState {
+		t.Fatalf("fail-safe holding ps=%d, want >= floor %d", ps, FailSafePState)
 	}
 
 	e.SetDropout(0, false)
-	e.Tick(p.RecoveryTicks - 1)
+	e.Tick(c.RecoveryTicks - 1)
 	if !e.NodeHealth(0).FailSafe {
 		t.Fatal("left fail-safe before RecoveryTicks sane readings")
 	}

@@ -156,12 +156,61 @@ func TestCountersMatchHierarchyStats(t *testing.T) {
 	}
 }
 
+// settleTicks is how many BMC control ticks into a run the capped node
+// is taken to be settled: the step-down from the inter-trial idle
+// lead-in's relaxed P-state takes a few ticks, a run several hundred.
+const settleTicks = 20
+
+// settleProbe signals once the current run has been under load for
+// settleTicks control ticks. Its hook and the wrapped workload's Run
+// both execute on the agent's machine goroutine, so ticks needs no lock.
+type settleProbe struct {
+	ticks   int // control ticks since the current run began; -1 between runs
+	settled chan struct{}
+}
+
+func newSettleProbe() *settleProbe {
+	return &settleProbe{ticks: -1, settled: make(chan struct{}, 1)}
+}
+
+func (p *settleProbe) hook(*machine.Machine) {
+	if p.ticks < 0 {
+		return
+	}
+	p.ticks++
+	if p.ticks == settleTicks {
+		select {
+		case p.settled <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// wrap builds workloads from mk whose runs drive the probe.
+func (p *settleProbe) wrap(mk func() machine.Workload) func() machine.Workload {
+	return func() machine.Workload { return probedWorkload{mk(), p} }
+}
+
+type probedWorkload struct {
+	machine.Workload
+	p *settleProbe
+}
+
+func (w probedWorkload) Run(m *machine.Machine) {
+	w.p.ticks = 0
+	w.Workload.Run(m)
+	w.p.ticks = -1
+}
+
 // TestManagementPlaneEnforcesSweep drives the sweep through the full
 // DCM -> IPMI -> agent stack instead of calling SetPolicy directly,
 // checking that out-of-band management produces the same throttling.
 func TestManagementPlaneEnforcesSweep(t *testing.T) {
-	agent := nodeagent.New(machine.Romley(), nodeagent.Options{
-		Workload: smallStereo,
+	probe := newSettleProbe()
+	cfg := machine.Romley()
+	cfg.ControlHook = probe.hook
+	agent := nodeagent.New(cfg, nodeagent.Options{
+		Workload: probe.wrap(smallStereo),
 	})
 	defer agent.Stop()
 	srv := ipmi.NewServer(agent)
@@ -194,6 +243,19 @@ func TestManagementPlaneEnforcesSweep(t *testing.T) {
 			t.Fatalf("cap never converged via management plane: runs=%d freq=%.0f", n, r.AvgFreqMHz)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	// Poll mid-run. Between trials the node idles below the cap and the
+	// BMC rightly relaxes its P-state, so a poll landing in the next
+	// run's idle lead-in would report an unthrottled frequency. A
+	// signal left over from an earlier run is discarded first.
+	select {
+	case <-probe.settled:
+	default:
+	}
+	select {
+	case <-probe.settled:
+	case <-time.After(time.Until(deadline)):
+		t.Fatal("no run settled under the cap before the deadline")
 	}
 	mgr.Poll()
 	st := mgr.Nodes()[0]
